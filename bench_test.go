@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/assign"
-	"repro/internal/codec"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/graphpart"
@@ -264,7 +263,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // BenchmarkEngineThroughputSharded sweeps GOMAXPROCS and the generator
 // count over the sharded data path (4 worker shards per node, same job as
 // BenchmarkEngineThroughput): the engine's multicore scaling profile.
-// gen=1 is the serial source path — its curve flattens once source
+// gen=1 is one generator — its curve flattens once source
 // generation saturates one core; gen=4 partitions each period's batch
 // across four generator goroutines. The proc count is encoded in the
 // sub-benchmark name (procs=N) and set explicitly inside, because the
@@ -307,47 +306,6 @@ func benchShardedThroughput(b *testing.B, procs, gen, perPeriod int) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(tuples)/sec, "tuples/s")
 	}
-}
-
-// BenchmarkTupleBatchCodec measures the legacy v1 record codec in
-// isolation: 256 tuples encoded into one pooled frame (codec.EncodeBatch
-// framing, full field names per record) and materialized back with
-// DecodeTuple. The engine's live data path no longer does this — it ships
-// wire-format v2 and decodes into reusable TupleViews; see
-// BenchmarkReceivePathV2 / BenchmarkStageV2 in internal/engine for the
-// current unit of work (0 allocs/op steady state). This benchmark stays as
-// the baseline the v2 numbers are compared against.
-func BenchmarkTupleBatchCodec(b *testing.B) {
-	tuples := make([]*engine.Tuple, 256)
-	for i := range tuples {
-		tuples[i] = (&engine.Tuple{Key: "article-001234", TS: int64(i)}).
-			WithStr("editor", "editor-0042").
-			WithStr("geo", "dk-17").
-			WithNum("bytes", float64(100+i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame := codec.GetBuf()
-		var scratch []byte
-		for _, t := range tuples {
-			scratch = t.Encode(scratch[:0])
-			frame = codec.AppendBatchItem(frame, scratch)
-		}
-		n := 0
-		err := codec.DecodeBatch(frame, func(item []byte) error {
-			t, err := engine.DecodeTuple(item)
-			if err == nil && t.Key != "" {
-				n++
-			}
-			return err
-		})
-		if err != nil || n != len(tuples) {
-			b.Fatalf("decoded %d, err %v", n, err)
-		}
-		codec.PutBuf(frame)
-	}
-	b.ReportMetric(float64(len(tuples)), "tuples/frame")
 }
 
 // BenchmarkStateMigration measures direct state migration round trips.

@@ -73,8 +73,7 @@ func main() {
 	migrCost := flag.Float64("migr-cost", 0, "max migration cost per adaptation, in state bytes at alpha=1 (0 = unlimited)")
 	precopyChunk := flag.Int("precopy-chunk", 0, "checkpoint bytes pre-copied per group per period boundary (0 = default 256 KiB, negative = unlimited)")
 	shards := flag.Int("shards", 1, "worker shards per node (parallel operator execution; needs GOMAXPROCS > 1 to pay off)")
-	genWorkers := flag.Int("gen-workers", 1, "parallel source-generator goroutines (partitionable sources split each period's batch; 1 = the byte-identical serial path)")
-	denseComm := flag.Int("dense-comm", 0, "group-count cutoff for the dense comm matrix (0 = built-in default, negative = always sparse); statistics are identical either way")
+	genWorkers := flag.Int("gen-workers", 1, "parallel source-generator goroutines (partitionable sources split each period's batch; tuple counts and comm are identical for any count)")
 	incremental := flag.Bool("incremental", false, "dirty-region incremental planning: only groups with material load/placement changes (plus their comm neighborhoods) are re-solved each period (albic and milp only)")
 	listen := flag.String("listen", "", "run distributed: listen on this address and wait for -workers albic-node processes to join (empty = single-process)")
 	workers := flag.Int("workers", 2, "worker processes to wait for with -listen")
@@ -137,7 +136,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ecfg := repro.EngineConfig{Nodes: *nodes, PrecopyChunkBytes: *precopyChunk, ShardsPerNode: *shards, DenseCommLimit: *denseComm, GenWorkers: *genWorkers}
+	ecfg := repro.EngineConfig{Nodes: *nodes, PrecopyChunkBytes: *precopyChunk, ShardsPerNode: *shards, GenWorkers: *genWorkers}
 	if *reactive {
 		ecfg.SubPeriods = *subperiods
 	}

@@ -76,8 +76,8 @@ func TestBatchPooledBufferReuseNoAliasing(t *testing.T) {
 	// Encode a batch into a pooled buffer, copy the decoded items out,
 	// return the buffer, and encode a different batch that will likely
 	// reuse the same backing array: the copies must be unaffected. This is
-	// the contract the engine relies on (DecodeTuple copies everything out
-	// of the frame before the receiver calls PutBuf).
+	// the contract the engine relies on (the receive path materializes
+	// whatever it keeps out of the frame before the receiver calls PutBuf).
 	first := EncodeBatch(GetBuf(), []byte("alpha"), []byte("beta"))
 	copies := collectBatch(t, first)
 	var aliases [][]byte

@@ -6,11 +6,12 @@ import "fmt"
 // dictionary.
 //
 // A frame is one contiguous byte buffer shipped between nodes. Frames are
-// versioned by a leading magic byte:
+// versioned by a leading magic byte; v2 is the only version:
 //
-//	v1 frame := 0xF1, then items           (items are v1 tuple records)
 //	v2 frame := 0xF2, then items           (items are v2 tuple records)
 //	item     := uvarint(len), len bytes    (AppendBatchItem / DecodeBatch)
+//
+// FrameVersion rejects any other leading byte.
 //
 // v2 records reference field names through a per-frame dictionary instead of
 // repeating the name bytes in every record. The dictionary is built
@@ -28,15 +29,9 @@ import "fmt"
 // (item length) — which keeps the engine's wire-byte cost accounting exact.
 // The dictionary resets at every frame boundary, so frames stay
 // self-contained (any frame decodes alone, in order).
-const (
-	// FrameV1 marks a frame whose items are v1 records (self-describing
-	// field names in every record). Kept so persisted v1 data and
-	// cross-version tests decode forever.
-	FrameV1 byte = 0xF1
-	// FrameV2 marks a frame whose items are v2 records (dictionary-encoded
-	// field names).
-	FrameV2 byte = 0xF2
-)
+// FrameV2 marks a frame whose items are v2 records (dictionary-encoded
+// field names).
+const FrameV2 byte = 0xF2
 
 // maxDictEntries bounds a frame's dictionary on both sides: past the cap,
 // definitions are still written and read inline but no longer registered,
@@ -52,16 +47,15 @@ func AppendFrameHeader(dst []byte, version byte) []byte {
 
 // FrameVersion splits a frame into its version and payload (the items).
 // Unknown leading bytes are an error: every frame built by this package's
-// current encoders carries a version byte.
+// encoders carries the FrameV2 byte.
 func FrameVersion(frame []byte) (version byte, payload []byte, err error) {
 	if len(frame) == 0 {
 		return 0, nil, fmt.Errorf("codec: empty frame")
 	}
-	switch frame[0] {
-	case FrameV1, FrameV2:
-		return frame[0], frame[1:], nil
+	if frame[0] != FrameV2 {
+		return 0, nil, fmt.Errorf("codec: unknown frame version byte 0x%02x", frame[0])
 	}
-	return 0, nil, fmt.Errorf("codec: unknown frame version byte 0x%02x", frame[0])
+	return frame[0], frame[1:], nil
 }
 
 // Dict is the encoder half of a per-frame field-name dictionary. Zero value

@@ -7,23 +7,27 @@ import (
 )
 
 func TestFrameVersion(t *testing.T) {
-	for _, v := range []byte{FrameV1, FrameV2} {
-		frame := AppendFrameHeader(nil, v)
-		frame = AppendBatchItem(frame, []byte("abc"))
-		ver, payload, err := FrameVersion(frame)
-		if err != nil || ver != v {
-			t.Fatalf("version 0x%02x: got 0x%02x, err %v", v, ver, err)
-		}
-		var items int
-		if err := DecodeBatch(payload, func(item []byte) error { items++; return nil }); err != nil || items != 1 {
-			t.Fatalf("payload decode: %d items, err %v", items, err)
-		}
+	frame := AppendFrameHeader(nil, FrameV2)
+	frame = AppendBatchItem(frame, []byte("abc"))
+	ver, payload, err := FrameVersion(frame)
+	if err != nil || ver != FrameV2 {
+		t.Fatalf("v2 frame: got version 0x%02x, err %v", ver, err)
+	}
+	var items int
+	if err := DecodeBatch(payload, func(item []byte) error { items++; return nil }); err != nil || items != 1 {
+		t.Fatalf("payload decode: %d items, err %v", items, err)
 	}
 	if _, _, err := FrameVersion(nil); err == nil {
 		t.Fatal("empty frame did not error")
 	}
 	if _, _, err := FrameVersion([]byte{0x05, 'h', 'e', 'l', 'l', 'o'}); err == nil {
 		t.Fatal("headerless (legacy-shaped) frame did not error")
+	}
+	// 0xF1 was the retired v1 format's version byte: a well-formed batch
+	// behind it is rejected like any other unknown version, not decoded.
+	v1 := append([]byte{0xF1}, frame[1:]...)
+	if ver, payload, err := FrameVersion(v1); err == nil {
+		t.Fatalf("0xF1 frame accepted as version 0x%02x with %d payload bytes", ver, len(payload))
 	}
 }
 

@@ -9,8 +9,9 @@ import "sort"
 // and skip rows that cannot clear a scoring threshold without scanning them.
 //
 // Values are sums of per-tuple unit increments (or whatever unit the producer
-// used), so representation changes never change the numbers: dense, hashed and
-// CSR accounting agree byte for byte as long as every edge is counted once.
+// used), so representation changes never change the numbers: the engine's
+// hashed per-shard tables and this CSR agree byte for byte as long as every
+// edge is counted once.
 //
 // A CommCSR is never mutated after Build/CommFromMap returns; snapshots share
 // one across clones instead of deep-copying an edge map every period.

@@ -7,10 +7,10 @@ import (
 	"repro/internal/core"
 )
 
-// TestCommTableMatchesMapAtScale: the open-addressed sparse accumulator must
-// agree exactly with the straightforward map implementation it replaced, at
-// a size (1.2k groups, well past denseCommGroupLimit) that forces several
-// table growths from the minimum bucket count.
+// TestCommTableMatchesMapAtScale: the open-addressed accumulator must agree
+// exactly with the straightforward map implementation it replaced, at a size
+// (1.2k groups) that forces several table growths from the minimum bucket
+// count.
 func TestCommTableMatchesMapAtScale(t *testing.T) {
 	const numGroups = 1200
 	rng := rand.New(rand.NewSource(42))
@@ -81,20 +81,20 @@ func TestShardedCommMergeMatchesMapAtScale(t *testing.T) {
 
 	stats := make([]*nodeStats, shards)
 	for i := range stats {
-		stats[i] = newNodeStats(numGroups, false, -1) // force sparse
+		stats[i] = newNodeStats(numGroups, false)
 	}
 	ref := map[core.Pair]float64{}
 
 	for i := 0; i < 120_000; i++ {
 		from, to := rng.Intn(numGroups), rng.Intn(numGroups)
-		stats[rng.Intn(shards)].addComm(from, to)
+		stats[rng.Intn(shards)].comm.add(from, to)
 		ref[core.Pair{from, to}]++
 	}
 
 	var b core.CommBuilder
 	b.Reset(numGroups)
 	for _, st := range stats {
-		st.forEachComm(b.Add)
+		st.comm.forEach(b.Add)
 	}
 	csr := b.Build()
 

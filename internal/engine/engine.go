@@ -30,10 +30,11 @@ type Config struct {
 	// SerCostPerByte / DeserCostPerByte model the CPU cost of moving a
 	// tuple across nodes (defaults 0.025 / 0.025) — the overhead
 	// collocation eliminates. The defaults are calibrated to the paper's
-	// regime at the granularity that matters, the tuple: wire format v2
-	// packs the paper-job tuples ~1.24× denser than v1 (whose era the old
-	// 0.02 default belonged to), so the per-byte rate is scaled up to keep
-	// the modeled per-tuple serialization share unchanged.
+	// regime at the granularity that matters, the tuple: wire format v2's
+	// dictionary-encoded field names pack the paper-job tuples ~1.24× denser
+	// than records that spell every name out (the encoding the old 0.02
+	// default was set for), so the per-byte rate is scaled up to keep the
+	// modeled per-tuple serialization share unchanged.
 	SerCostPerByte   float64
 	DeserCostPerByte float64
 	// MigrSecondsPerByte converts migrated state volume to modeled pause
@@ -72,22 +73,14 @@ type Config struct {
 	// traffic). 0 or 1 keeps the single-goroutine node of earlier versions;
 	// values above 256 are capped.
 	ShardsPerNode int
-	// DenseCommLimit selects the per-shard communication accumulator: group
-	// counts at or below the limit use a dense gid×gid matrix, larger
-	// topologies the open-addressed sparse table (see commtable.go). 0 takes
-	// the default (362, ≈1 MB of matrix per shard); a negative value forces
-	// the sparse path regardless of size. Both representations produce
-	// byte-identical statistics — this is purely a space/speed knob.
-	DenseCommLimit int
 	// GenWorkers partitions each source's per-period emission across this
 	// many generator goroutines (see gen.go). Each generator is a distinct
 	// sender with its own per-(dest, op) outbox set, scratch buffer and
 	// byte/batch counters, so the per-sender FIFO invariant holds per
 	// generator; sub-period boundaries become safe-point rendezvous across
 	// the generators. Sources opt in via Topology.AddSourceParts — a source
-	// without a split hook runs whole on generator 0. 0 or 1 keeps the
-	// single-generator path of earlier versions byte-identical (same frames,
-	// same dictionary resets, same statistics); values above 64 are capped.
+	// without a split hook runs whole on generator 0. 0 means 1 (a single
+	// generator goroutine); values above 64 are capped.
 	GenWorkers int
 }
 
@@ -336,8 +329,7 @@ type periodRun struct {
 	armFailed bool
 
 	// Reactive sub-period state (see subperiod.go). All fields are owned by
-	// the generation side during the period — serially by the single
-	// generator, or (GenWorkers > 1) mutated only inside genCoord's
+	// the generation side during the period — mutated only inside genCoord's
 	// single-threaded boundary region and after the generator join;
 	// finishPeriod reads them only after synchronizing on the generation
 	// result.

@@ -14,9 +14,11 @@ import (
 //  2. view accessors agree with Materialize (the lazy and the materialized
 //     reads of one record are the same tuple);
 //  3. any frame that decodes cleanly survives a re-encode through the v2
-//     sender (outbox staging) and decodes to the same tuples.
+//     sender (outbox staging) and decodes to the same tuples;
+//  4. only frames that start with the v2 version byte decode at all.
 //
-// The seed corpus covers both frame versions plus the corrupt shapes the
+// The seed corpus covers well-formed v2 frames, frames behind other version
+// bytes (0xF1, the retired v1 format, among them) and the corrupt shapes the
 // dictionary layer must reject: truncated dictionary definitions,
 // out-of-range name ids, duplicate names, truncated floats and oversized
 // field counts.
@@ -26,18 +28,16 @@ func FuzzReceivePath(f *testing.F) {
 	var scratch []byte
 	ob.stage(3, (&Tuple{Key: "k1", TS: 7}).WithStr("geo", "dk").WithNum("b", 2), &scratch)
 	ob.stage(3, (&Tuple{Key: "k2", TS: 8}).WithStr("geo", "se").WithNum("b", 3), &scratch)
-	if m, ok := ob.take(1); ok {
-		f.Add(append([]byte(nil), m.encoded...))
-	}
+	m, _ := ob.take(1)
+	wellFormed := append([]byte(nil), m.encoded...)
+	f.Add(wellFormed)
 	ob.stage(0, &Tuple{}, &scratch) // empty tuple
 	if m, ok := ob.take(1); ok {
 		f.Add(append([]byte(nil), m.encoded...))
 	}
-	// Well-formed v1 frame (compat path).
-	f.Add(buildV1Frame([]int{1, 2}, []*Tuple{
-		(&Tuple{Key: "a", TS: 1}).WithStr("s", "v"),
-		(&Tuple{Key: "b", TS: 2}).WithNum("n", 4),
-	}))
+	// The same records behind the retired v1 version byte: rejected, not
+	// decoded.
+	f.Add(append([]byte{0xF1}, wellFormed[1:]...))
 	// Corrupt v2 shapes.
 	add := func(items ...[]byte) {
 		frame := codec.AppendFrameHeader(nil, codec.FrameV2)
@@ -54,7 +54,7 @@ func FuzzReceivePath(f *testing.F) {
 	dup := []byte{0x00, 0x00, 0x00, 0x02, 0x07, 'g', 'e', 'o', 0x00, 0x07, 'g', 'e', 'o', 0x00, 0x00}
 	add(dup)                  // duplicate name definitions in one record
 	f.Add([]byte{0xF2})       // header-only v2 frame
-	f.Add([]byte{0xF1})       // header-only v1 frame
+	f.Add([]byte{0xF1})       // header-only frame with the retired v1 byte
 	f.Add([]byte{0x42, 0x42}) // unknown version byte
 	f.Add([]byte{})           // empty input
 
@@ -87,6 +87,13 @@ func FuzzReceivePath(f *testing.F) {
 			}
 			recs = append(recs, rec{kg: kg, t: m})
 		})
+		if len(frame) == 0 || frame[0] != codec.FrameV2 {
+			// Law 4: any other version byte is an error before any record.
+			if err == nil || len(recs) != 0 {
+				t.Fatalf("frame with version byte %#x: %d records, err %v", frame[:min(len(frame), 1)], len(recs), err)
+			}
+			return
+		}
 		if err != nil {
 			return // malformed input may fail, never panic
 		}

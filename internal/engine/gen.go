@@ -6,14 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// Source generation. The engine produces each period's input batch either on
-// a single goroutine (generateSerial — the exact behavior of earlier
-// versions) or partitioned across Config.GenWorkers generator goroutines
-// (generateParallel). Each generator is a distinct sender with its own
-// per-(dest, op) outbox set, scratch buffer and byte/batch counters, so the
-// per-sender FIFO invariant the shards rely on holds per generator; the
-// emitted tuple multiset is identical for any worker count because
-// partitionable sources split deterministically (see PartSourceFunc).
+// Source generation. The engine produces each period's input batch on
+// Config.GenWorkers generator goroutines; the default single generator is
+// the degenerate case of the same path, not a separate one. Each generator
+// is a distinct sender with its own per-(dest, op) outbox set, scratch
+// buffer and byte/batch counters, so the per-sender FIFO invariant the
+// shards rely on holds per generator; the emitted tuple multiset is
+// identical for any worker count because partitionable sources split
+// deterministically (see PartSourceFunc).
 // End-of-period source barriers are emitted only after every generator has
 // joined and every generator outbox has flushed, so barrier counting is
 // unchanged: one barrier per source edge per receiving shard.
@@ -106,64 +106,7 @@ func runSrc(name string, f func()) (err error) {
 	return nil
 }
 
-// generate runs the topology's sources for the period — in parallel when the
-// engine is configured with GenWorkers > 1 and at least one source declared
-// a split hook, serially otherwise.
-func (e *Engine) generate(pr *periodRun) error {
-	if e.cfg.GenWorkers > 1 {
-		for _, src := range e.topo.sources {
-			if src.GenPart != nil {
-				return e.generateParallel(pr)
-			}
-		}
-	}
-	return e.generateSerial(pr)
-}
-
-// generateSerial is the single-generator path: one goroutine emits, so the
-// per-sender FIFO invariant holds for the engine as a sender, and sub-period
-// boundaries fire inline between tuples. Byte-for-byte it is the behavior of
-// earlier versions — same frames, same dictionary lifetimes, same statistics.
-func (e *Engine) generateSerial(pr *periodRun) error {
-	gs := e.genStateFor(0)
-	flushAll := func() {
-		for destG := range gs.outs {
-			e.flushGen(pr, gs, destG)
-		}
-	}
-	for si, src := range e.topo.sources {
-		emit := func(t *Tuple) {
-			e.stageSrc(pr, gs, si, t)
-			pr.srcEmitted++
-			// Sub-period boundary: fires between tuples on this goroutine
-			// (a safe point — no frame is half-staged, no barrier sent yet).
-			if pr.subPerSub > 0 && pr.srcEmitted >= pr.subNext && pr.subIdx < e.cfg.SubPeriods-1 {
-				pr.subIdx++
-				pr.subNext += pr.subPerSub
-				e.subBoundary(pr, flushAll)
-			}
-		}
-		if err := runSrc(src.Name, func() { src.Gen(pr.period, emit) }); err != nil {
-			return err
-		}
-	}
-	flushAll()
-	// Sub-period boundaries that emission did not reach (generation always
-	// outpaces processing; with low volume it finishes before the first
-	// emission threshold): fire them now, before any barrier is sent —
-	// each waits for the data path to catch up to its share of the period,
-	// so hot moves still happen at meaningful mid-period safe points.
-	for pr.subPerSub > 0 && pr.subIdx < e.cfg.SubPeriods-1 {
-		pr.subIdx++
-		e.subBoundary(pr, flushAll)
-	}
-	pr.srcBytes = gs.bytes
-	pr.srcBatches = gs.batches
-	e.emitSourceBarriers(pr)
-	return nil
-}
-
-// genCoord coordinates the parallel generators' sub-period safe points. The
+// genCoord coordinates the generators' sub-period safe points. The
 // emitted-tuple count is a shared atomic; when it crosses the next boundary
 // threshold, one generator wins the stop flag and becomes the boundary
 // initiator, every other live generator parks at its next between-tuples
@@ -254,12 +197,13 @@ func (gc *genCoord) boundary() {
 	gc.mu.Unlock()
 }
 
-// generateParallel partitions the period's emission across GenWorkers
-// generator goroutines. Partitionable sources run one part per worker;
-// sources without a split hook run whole on worker 0, interleaved with the
-// parts — the emitted multiset is the same either way. The source barriers
-// ship only after every generator has joined and flushed.
-func (e *Engine) generateParallel(pr *periodRun) error {
+// generate runs the topology's sources for the period, partitioning the
+// emission across GenWorkers generator goroutines. Partitionable sources run
+// one part per worker (part 0 of 1 is the whole batch); sources without a
+// split hook run whole on worker 0, interleaved with the parts — the emitted
+// multiset is the same either way. The source barriers ship only after every
+// generator has joined and flushed.
+func (e *Engine) generate(pr *periodRun) error {
 	parts := e.cfg.GenWorkers
 	for w := 0; w < parts; w++ {
 		e.genStateFor(w)
@@ -312,9 +256,13 @@ func (e *Engine) generateParallel(pr *periodRun) error {
 	}
 	pr.srcEmitted = gc.emitted.Load()
 	flushAll()
-	// Boundaries emission did not reach: fire them before any barrier, as in
-	// the serial path. All generators have joined — this goroutine is the
-	// only one touching the period now.
+	// Sub-period boundaries that emission did not reach (generation always
+	// outpaces processing; with low volume it finishes before the first
+	// emission threshold): fire them now, before any barrier is sent — each
+	// waits for the data path to catch up to its share of the period, so hot
+	// moves still happen at meaningful mid-period safe points. All
+	// generators have joined — this goroutine is the only one touching the
+	// period now.
 	for pr.subPerSub > 0 && pr.subIdx < e.cfg.SubPeriods-1 {
 		pr.subIdx++
 		e.subBoundary(pr, flushAll)

@@ -192,7 +192,7 @@ func newShard(nid, sid int, eng *Engine) *shard {
 		tips:     map[int]*ckptTip{},
 		potcSent: make([]float64, numGroups),
 		emitters: make([]Emit, numGroups),
-		stats:    newNodeStats(numGroups, eng.cfg.SubPeriods >= 2, eng.cfg.DenseCommLimit),
+		stats:    newNodeStats(numGroups, eng.cfg.SubPeriods >= 2),
 	}
 	s.rx.view.pool = &s.tp
 	return s
@@ -849,7 +849,7 @@ func (s *shard) routeTo(e edge, fromGID int, t *Tuple) {
 			dest = d // group hot-moved mid-period; route to its new host
 		}
 	}
-	s.stats.addComm(fromGID, toGID)
+	s.stats.comm.add(fromGID, toGID)
 	if dest == s.nid && int(s.eng.shardIdx[toGID]) == s.sid {
 		// Shard-local edge: no serialization. Deliver synchronously through
 		// a wrap-view (operators always see TupleViews).

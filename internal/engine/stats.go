@@ -8,14 +8,6 @@ import (
 	"repro/internal/core"
 )
 
-// denseCommGroupLimit is the default for Config.DenseCommLimit: topologies
-// with at most this many key groups accumulate out(gi, gj) in a flat gid×gid
-// []float64 (one add + one index per tuple on the hot path). 362 groups
-// ≈ 1 MB of matrix per shard; larger topologies fall back to the sparse
-// open-addressed commTable. Tests and benchmarks override per engine via
-// Config.DenseCommLimit instead of mutating this.
-const denseCommGroupLimit = 362
-
 // nodeStats is one shard's statistics: written only by its owning shard
 // goroutine during a period and read by the engine between periods (the
 // completion channel provides the happens-before edge); the engine merges
@@ -34,13 +26,10 @@ type nodeStats struct {
 	// groupTuplesIn / Out count tuples per key group.
 	groupTuplesIn  []int64
 	groupTuplesOut []int64
-	// Communication matrix: tuples sent from key group `from` to key group
-	// `to`. Exactly one of the two representations is active — commDense
-	// (flat, indexed from*numGroups+to) for small topologies, commSparse
-	// (open-addressed counting table, see commtable.go) otherwise.
-	commSparse *commTable
-	commDense  []float64
-	numGroups  int
+	// comm is the communication matrix: tuples sent from key group `from`
+	// to key group `to`, in an open-addressed counting table (see
+	// commtable.go) sized by the edges a period really uses, not G×G.
+	comm *commTable
 	// bytesOut / bytesIn count serialized bytes crossing node boundaries.
 	bytesOut, bytesIn int64
 	// batchesOut counts cross-node frames shipped (each amortizing one
@@ -63,54 +52,19 @@ type nodeStats struct {
 	subMilli []atomic.Int64
 }
 
-// newNodeStats builds one shard's statistics. denseLimit is the resolved
-// Config.DenseCommLimit: group counts at or below it use the dense flat
-// matrix, anything above the sparse commTable (a negative limit forces the
-// sparse path even for tiny topologies — the representation-agreement tests
-// rely on that).
-func newNodeStats(numGroups int, subPeriods bool, denseLimit int) *nodeStats {
+// newNodeStats builds one shard's statistics.
+func newNodeStats(numGroups int, subPeriods bool) *nodeStats {
 	s := &nodeStats{
 		groupMilli:     make([]int64, numGroups),
 		groupTuplesIn:  make([]int64, numGroups),
 		groupTuplesOut: make([]int64, numGroups),
-		numGroups:      numGroups,
+		comm:           &commTable{},
 	}
 	if subPeriods {
 		s.subMilli = make([]atomic.Int64, numGroups)
 	}
-	if denseLimit == 0 {
-		denseLimit = denseCommGroupLimit
-	}
-	if numGroups <= denseLimit {
-		s.commDense = make([]float64, numGroups*numGroups)
-	} else {
-		s.commSparse = &commTable{}
-		s.commSparse.init(commTableMinBuckets)
-	}
+	s.comm.init(commTableMinBuckets)
 	return s
-}
-
-// addComm records one tuple flowing from key group `from` to `to`.
-func (s *nodeStats) addComm(from, to int) {
-	if s.commDense != nil {
-		s.commDense[from*s.numGroups+to]++
-		return
-	}
-	s.commSparse.add(from, to)
-}
-
-// forEachComm visits every non-zero communication edge recorded this period.
-func (s *nodeStats) forEachComm(fn func(from, to int, rate float64)) {
-	if s.commDense != nil {
-		ng := s.numGroups
-		for i, v := range s.commDense {
-			if v != 0 {
-				fn(i/ng, i%ng, v)
-			}
-		}
-		return
-	}
-	s.commSparse.forEach(fn)
 }
 
 func (s *nodeStats) addUnits(gid int, units float64) {
@@ -132,11 +86,7 @@ func (s *nodeStats) reset() {
 	clear(s.groupMilli)
 	clear(s.groupTuplesIn)
 	clear(s.groupTuplesOut)
-	if s.commDense != nil {
-		clear(s.commDense)
-	} else {
-		s.commSparse.reset()
-	}
+	s.comm.reset()
 	s.bytesOut, s.bytesIn = 0, 0
 	s.batchesOut = 0
 	s.migMilli = 0
@@ -155,7 +105,7 @@ type PeriodStats struct {
 	// StateBytes is |σ_k| measured at period end.
 	StateBytes []int
 	// Comm is the out(gi, gj) matrix (tuples this period), merged from the
-	// shards' dense/sparse accumulators into one immutable CSR at the period
+	// shards' comm tables into one immutable CSR at the period
 	// barrier. Snapshots share it without copying; ToMap() materializes the
 	// legacy map form for comparisons.
 	Comm *core.CommCSR
@@ -274,7 +224,7 @@ func (a *mergeAcc) fold(r shardRef, ps *PeriodStats, commAdd func(from, to int, 
 	for _, c := range sh.stats.groupTuplesOut {
 		a.tuplesOut += c
 	}
-	sh.stats.forEachComm(commAdd)
+	sh.stats.comm.forEach(commAdd)
 	a.bytesOut += sh.stats.bytesOut
 	a.bytesIn += sh.stats.bytesIn
 	a.batchesOut += sh.stats.batchesOut

@@ -253,7 +253,7 @@ func (e *Engine) statsReplyBody() []byte {
 			for _, c := range sh.stats.groupTuplesOut {
 				nw.tuplesOut += c
 			}
-			sh.stats.forEachComm(func(from, to int, rate float64) {
+			sh.stats.comm.forEach(func(from, to int, rate float64) {
 				nw.commFrom = append(nw.commFrom, int32(from))
 				nw.commTo = append(nw.commTo, int32(to))
 				nw.commN = append(nw.commN, int64(rate))

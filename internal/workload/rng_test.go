@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/engine"
 )
 
@@ -12,11 +13,12 @@ import (
 const testSeed = 42
 
 // encodePeriod serializes one period's full tuple stream (keys, timestamps
-// and all fields, via the deterministic codec) into one byte blob.
+// and all fields, as v2 records each under a fresh dictionary, so every
+// field name is spelled out) into one byte blob.
 func encodePeriod(gen engine.SourceFunc, period int) []byte {
 	var out []byte
 	gen(period, func(tu *engine.Tuple) {
-		out = tu.Encode(out)
+		out = tu.EncodeV2(out, &codec.Dict{})
 	})
 	return out
 }

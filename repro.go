@@ -59,9 +59,9 @@ type (
 	// SourceFunc is the generator signature.
 	SourceFunc = engine.SourceFunc
 	// PartSourceFunc is the partitionable generator signature: part `part`
-	// of `parts` of one period's batch, run on parallel generator goroutines
-	// when the engine is configured with EngineConfig.GenWorkers > 1
-	// (register via Topology.AddSourceParts).
+	// of `parts` of one period's batch, one part per generator goroutine
+	// (EngineConfig.GenWorkers, one by default; register via
+	// Topology.AddSourceParts).
 	PartSourceFunc = engine.PartSourceFunc
 	// Tuple is the data unit ⟨key, value, ts⟩ — what sources and operators
 	// construct and emit.
@@ -230,8 +230,8 @@ func RealJob4(cfg JobConfig) (*Topology, error) { return workload.RealJob4(cfg) 
 // WikipediaSource returns the Wikipedia edit-history simulator.
 func WikipediaSource(cfg WikipediaConfig) SourceFunc { return workload.Wikipedia(cfg) }
 
-// WikipediaPartsSource returns the partitionable Wikipedia simulator for
-// parallel generation (EngineConfig.GenWorkers).
+// WikipediaPartsSource returns the partitionable Wikipedia simulator, which
+// splits each period's batch across EngineConfig.GenWorkers generators.
 func WikipediaPartsSource(cfg WikipediaConfig) PartSourceFunc { return workload.WikipediaParts(cfg) }
 
 // AirlineSource returns the airline on-time simulator.
